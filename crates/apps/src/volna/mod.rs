@@ -195,6 +195,7 @@ impl<R: Real> Volna<R> {
             + self.area.bytes()
             + self.egeom.bytes()
             + self.eflux.bytes()
+            + self.bgeom.bytes()
     }
 
     /// Maximum |free surface| — the wave amplitude, for sanity checks.
@@ -341,6 +342,12 @@ mod tests {
             assert_eq!(r[1], 0.0);
         }
         assert!(v.max_eta() > 0.4, "source peak present");
+        // the footprint covers the same eight dats set_layout converts
+        let dats = [
+            &v.w, &v.w_old, &v.w1, &v.res, &v.area, &v.egeom, &v.eflux, &v.bgeom,
+        ];
+        assert_eq!(v.dat_bytes(), dats.iter().map(|d| d.bytes()).sum::<usize>());
+        assert!(v.bgeom.bytes() > 0);
     }
 
     #[test]

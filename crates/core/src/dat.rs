@@ -150,11 +150,26 @@ impl<R: Real> OpDat<R> {
     /// Re-permute storage into `to` layout. A pure permutation of the
     /// same values — bit-exact, so conformance and checkpoint tests are
     /// unaffected by layout choice.
+    ///
+    /// The conversion is in place: `dim == 1` storage is identical under
+    /// every layout, so those dats are only relabelled; wider dats are
+    /// copied into this thread's [`Real::with_scratch`] buffer and
+    /// permuted back into their own storage by
+    /// [`DatView::permute_into`]. Once the scratch has grown to the
+    /// largest dat converted on the thread, a conversion allocates
+    /// nothing — the per-step AoS shim around the non-fused backends
+    /// costs only the permutation itself.
     pub fn set_layout(&mut self, to: Layout) {
         if self.layout == to {
             return;
         }
-        self.data = self.view().convert(&self.data, to);
+        if self.dim > 1 {
+            let from = self.view();
+            R::with_scratch(self.data.len(), |scratch| {
+                scratch.copy_from_slice(&self.data);
+                from.permute_into(scratch, to, &mut self.data);
+            });
+        }
         self.layout = to;
     }
 
@@ -360,25 +375,43 @@ mod tests {
 
     #[test]
     fn layout_round_trip_is_bit_exact() {
-        let d: OpDat<f64> = OpDat::from_fn("q", 11, 4, |e| {
-            (0..4).map(|c| (e * 4 + c) as f64 * 0.37 - 2.0).collect()
-        });
-        for to in [
+        let targets = [
             Layout::Soa,
+            Layout::AoSoA { block: 1 },
+            Layout::AoSoA { block: 3 },
             Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 6 }, // ragged: 11 % 6 != 0
-        ] {
-            let mut s = d.clone();
-            s.set_layout(to);
-            assert_eq!(s.layout, to);
-            assert_eq!(s.max_abs_diff(&d), 0.0);
-            for e in 0..11 {
-                for c in 0..4 {
-                    assert_eq!(s.at(e, c).to_bits(), d.at(e, c).to_bits());
+            Layout::AoSoA { block: 6 }, // ragged at n = 7, 11 and 64
+            Layout::AoSoA { block: 64 },
+        ];
+        for dim in 1..=5 {
+            for n in [1, 7, 11, 64] {
+                let d: OpDat<f64> = OpDat::from_fn("q", n, dim, |e| {
+                    (0..dim)
+                        .map(|c| (e * dim + c) as f64 * 0.37 - 2.0)
+                        .collect()
+                });
+                for to in targets {
+                    let mut s = d.clone();
+                    s.set_layout(to);
+                    assert_eq!(s.layout, to);
+                    assert_eq!(s.max_abs_diff(&d), 0.0);
+                    for e in 0..n {
+                        for c in 0..dim {
+                            assert_eq!(s.at(e, c).to_bits(), d.at(e, c).to_bits());
+                        }
+                    }
+                    // between two non-AoS layouts, then home again
+                    for via in targets {
+                        let mut t = s.clone();
+                        t.set_layout(via);
+                        assert_eq!(t.max_abs_diff(&d), 0.0, "{to:?} -> {via:?}");
+                        t.set_layout(to);
+                        assert_eq!(t, s, "{to:?} -> {via:?} -> {to:?}");
+                    }
+                    s.set_layout(Layout::Aos);
+                    assert_eq!(s, d);
                 }
             }
-            s.set_layout(Layout::Aos);
-            assert_eq!(s, d);
         }
     }
 

@@ -252,19 +252,63 @@ impl DatView {
         }
     }
 
-    /// Permute `data` from this view's layout into `to`, returning the
-    /// re-laid-out storage. A pure index permutation — bit-exact at any
-    /// precision.
-    pub fn convert<R: Real>(&self, data: &[R], to: Layout) -> Vec<R> {
-        assert_eq!(data.len(), self.n * self.dim, "dat storage size mismatch");
-        let dst = DatView::new(self.n, self.dim, to);
-        let mut out = vec![R::ZERO; data.len()];
+    /// Permute `src`, stored in this view's layout, into `dst` laid out
+    /// as `to`. A pure index permutation — bit-exact at any precision —
+    /// that writes every slot of the caller's `dst` and allocates
+    /// nothing.
+    ///
+    /// `dim == 1` storage is identical under every layout, so it (and a
+    /// same-layout call) is a plain copy. AoS↔SoA at `dim` 2 and 4, the
+    /// shapes of every multi-component dat the apps convert, run as
+    /// dim-specialised transposes; every other (layout, dim) pair goes
+    /// through the generic [`DatView::idx`] loop.
+    pub fn permute_into<R: Real>(&self, src: &[R], to: Layout, dst: &mut [R]) {
+        let len = self.n * self.dim;
+        assert!(
+            src.len() == len && dst.len() == len,
+            "dat storage size mismatch"
+        );
+        match (self.layout, to, self.dim) {
+            (from, to, dim) if dim == 1 || from == to => dst.copy_from_slice(src),
+            (Layout::Aos, Layout::Soa, 2) => aos_to_soa::<R, 2>(src, dst, self.n),
+            (Layout::Aos, Layout::Soa, 4) => aos_to_soa::<R, 4>(src, dst, self.n),
+            (Layout::Soa, Layout::Aos, 2) => soa_to_aos::<R, 2>(src, dst, self.n),
+            (Layout::Soa, Layout::Aos, 4) => soa_to_aos::<R, 4>(src, dst, self.n),
+            _ => self.permute_by_idx(src, to, dst),
+        }
+    }
+
+    /// The generic permutation: one [`DatView::idx`] pair per value. The
+    /// reference every specialised transpose must match bit for bit.
+    fn permute_by_idx<R: Real>(&self, src: &[R], to: Layout, dst: &mut [R]) {
+        let out = DatView::new(self.n, self.dim, to);
         for e in 0..self.n {
             for c in 0..self.dim {
-                out[dst.idx(e, c)] = data[self.idx(e, c)];
+                dst[out.idx(e, c)] = src[self.idx(e, c)];
             }
         }
-        out
+    }
+}
+
+/// AoS → SoA transpose of `n` rows of `D` components.
+fn aos_to_soa<R: Real, const D: usize>(aos: &[R], soa: &mut [R], n: usize) {
+    let (rows, _) = aos.as_chunks::<D>();
+    // `max(1)`: an empty dat has no column to fill, and no chunk of 0
+    for (c, col) in soa.chunks_exact_mut(n.max(1)).enumerate() {
+        for (slot, row) in col.iter_mut().zip(rows) {
+            *slot = row[c];
+        }
+    }
+}
+
+/// SoA → AoS transpose of `n` rows of `D` components.
+fn soa_to_aos<R: Real, const D: usize>(soa: &[R], aos: &mut [R], n: usize) {
+    let cols: [&[R]; D] = std::array::from_fn(|c| &soa[c * n..(c + 1) * n]);
+    let (rows, _) = aos.as_chunks_mut::<D>();
+    for (e, row) in rows.iter_mut().enumerate() {
+        for (slot, col) in row.iter_mut().zip(&cols) {
+            *slot = col[e];
+        }
     }
 }
 
@@ -311,27 +355,74 @@ mod tests {
         }
     }
 
+    /// `data` permuted from `view`'s layout into `to`, in a fresh buffer.
+    fn converted<R: Real>(view: DatView, data: &[R], to: Layout) -> Vec<R> {
+        let mut out = vec![R::from_f64(-1.0); data.len()];
+        view.permute_into(data, to, &mut out);
+        out
+    }
+
+    fn bits<R: Real>(data: &[R]) -> Vec<u64> {
+        data.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    fn round_trips_at<R: Real>() {
+        let layouts = [
+            Layout::Aos,
+            Layout::Soa,
+            Layout::AoSoA { block: 1 },
+            Layout::AoSoA { block: 3 },
+            Layout::AoSoA { block: 4 },
+            Layout::AoSoA { block: 6 },
+            Layout::AoSoA { block: 64 },
+        ];
+        for dim in 1..=5 {
+            // 7 and 11 leave ragged AoSoA tails for blocks 3, 4 and 6
+            for n in [1, 7, 11, 64] {
+                let aos: Vec<R> = aos_data(n, dim).into_iter().map(R::from_f64).collect();
+                let aos_view = DatView::new(n, dim, Layout::Aos);
+                for from in layouts {
+                    let from_view = DatView::new(n, dim, from);
+                    let mut src = vec![R::ZERO; n * dim];
+                    aos_view.permute_by_idx(&aos, from, &mut src);
+                    for to in layouts {
+                        let case = format!("{from:?} -> {to:?}, n={n}, dim={dim}");
+                        // the generic idx() loop is the reference; a
+                        // reference buffer filled with a different value
+                        // exposes any slot the fast path leaves unwritten
+                        let mut want = vec![R::from_f64(-2.0); n * dim];
+                        from_view.permute_by_idx(&src, to, &mut want);
+                        let there = converted(from_view, &src, to);
+                        assert_eq!(bits(&there), bits(&want), "{case}");
+                        let to_view = DatView::new(n, dim, to);
+                        for e in 0..n {
+                            for c in 0..dim {
+                                assert_eq!(
+                                    there[to_view.idx(e, c)].to_f64(),
+                                    (e * 10 + c) as f64,
+                                    "{case}"
+                                );
+                            }
+                        }
+                        let back = converted(to_view, &there, from);
+                        assert_eq!(bits(&back), bits(&src), "{case} and back");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn convert_round_trips_bit_exactly() {
-        let (n, dim) = (11, 4);
-        let aos = aos_data(n, dim);
-        let av = DatView::new(n, dim, Layout::Aos);
-        for layout in [
-            Layout::Soa,
-            Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 3 },
-        ] {
-            let there = av.convert(&aos, layout);
-            let back = DatView::new(n, dim, layout).convert(&there, Layout::Aos);
-            assert_eq!(aos, back, "{layout:?}");
-        }
+        round_trips_at::<f64>();
+        round_trips_at::<f32>();
     }
 
     #[test]
     fn soa_direct_loads_are_contiguous() {
         let (n, dim) = (12, 4);
         let aos = aos_data(n, dim);
-        let soa = DatView::new(n, dim, Layout::Aos).convert(&aos, Layout::Soa);
+        let soa = converted(DatView::new(n, dim, Layout::Aos), &aos, Layout::Soa);
         let v = DatView::new(n, dim, Layout::Soa);
         assert!(v.contiguous(5, 4));
         let lanes: VecR<f64, 4> = v.loadv(&soa, 4, 2);
@@ -346,7 +437,11 @@ mod tests {
         let (n, dim) = (10, 2);
         let aos = aos_data(n, dim);
         let view = DatView::new(n, dim, Layout::AoSoA { block: 6 });
-        let data = DatView::new(n, dim, Layout::Aos).convert(&aos, Layout::AoSoA { block: 6 });
+        let data = converted(
+            DatView::new(n, dim, Layout::Aos),
+            &aos,
+            Layout::AoSoA { block: 6 },
+        );
         assert!(view.contiguous(0, 4));
         assert!(!view.contiguous(4, 4), "lanes 4..8 straddle the tile seam");
         assert!(view.contiguous(6, 4), "ragged tile holds exactly 4");
@@ -371,7 +466,7 @@ mod tests {
         let idx = IdxVec::<4>::from_array([7, 2, 2, 5]);
         for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
             let view = DatView::new(n, dim, layout);
-            let data = av.convert(&aos, layout);
+            let data = converted(av, &aos, layout);
             let g: VecR<f64, 4> = view.gatherv(&data, idx, 1);
             assert_eq!(g.to_array(), [71.0, 21.0, 21.0, 51.0], "{layout:?}");
 
@@ -402,7 +497,7 @@ mod tests {
             Layout::AoSoA { block: 6 },
         ] {
             let view = DatView::new(n, dim, layout);
-            let data = av.convert(&aos, layout);
+            let data = converted(av, &aos, layout);
             for base in [0, 4, 5, 12] {
                 let run = IdxVec::<4>::iota(base);
                 let got: VecR<f64, 4> = view.gatherv(&data, run, 2);

@@ -6,6 +6,7 @@
 //! here: kernels and loop drivers are generic over `R: Real`, and the SIMD
 //! lane count adapts to `R::BYTES` (4 doubles vs 8 floats per AVX register).
 
+use std::cell::Cell;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -70,6 +71,13 @@ pub trait Real:
     fn mul_add(self, b: Self, c: Self) -> Self;
     /// `true` when the value is finite (not NaN/∞) — used by validators.
     fn is_finite(self) -> bool;
+    /// Run `f` on the first `len` values of this thread's reusable
+    /// scratch buffer (contents unspecified). The buffer grows to the
+    /// largest `len` seen on the thread and is then reused, so callers
+    /// past warm-up allocate nothing; it backs the in-place layout
+    /// conversion of `OpDat::set_layout`. A nested call gets a fresh
+    /// buffer instead of aliasing the outer one.
+    fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [Self]) -> T) -> T;
 }
 
 macro_rules! impl_real {
@@ -113,6 +121,20 @@ macro_rules! impl_real {
             #[inline(always)]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
+            }
+            fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [Self]) -> T) -> T {
+                thread_local! {
+                    static SCRATCH: Cell<Vec<$t>> = const { Cell::new(Vec::new()) };
+                }
+                SCRATCH.with(|cell| {
+                    let mut buf = cell.take();
+                    if buf.len() < len {
+                        buf = vec![0.0; len];
+                    }
+                    let out = f(&mut buf[..len]);
+                    cell.set(buf);
+                    out
+                })
             }
         }
     };
